@@ -1,4 +1,4 @@
-// Command loadgen drives a live serveclass or servecluster instance
+// Command loadgen drives a live `serve class` or `serve cluster` instance
 // with open-loop (Poisson, bursty on/off, diurnal ramp, adversarial
 // hot-key) or closed-loop (fixed concurrency) mixed traffic, records
 // per-request latency into an HDR-style histogram, scores answer
@@ -70,7 +70,7 @@ func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"Usage: loadgen [flags]\n\n"+
-				"Drive a serveclass/servecluster instance with open- or closed-loop\n"+
+				"Drive a 'serve class'/'serve cluster' instance with open- or closed-loop\n"+
 				"traffic and report tail latency plus answer quality under load.\n\n"+
 				"Examples:\n"+
 				"  loadgen -target http://localhost:8080 -process poisson -rate 500\n"+
@@ -239,37 +239,27 @@ func startSelfServe(kind string, shards int, nps float64, tenants, maxResident i
 			os.RemoveAll(dir)
 			return "", nil, fmt.Errorf("unknown kind %q", kind)
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			closeSrv()
-			return "", nil, err
+	} else {
+		switch kind {
+		case "class":
+			s, err := server.NewEmpty(shards, core.DefaultConfig(3), []int{0, 1, 2}, core.MultiOptions{}, cfg)
+			if err != nil {
+				return "", nil, err
+			}
+			handler, closeSrv = s.Handler(), s.Close
+		case "cluster":
+			s, err := server.NewCluster(clustree.DefaultConfig(2), shards, cfg, server.ClusterOptions{SnapshotEvery: -1})
+			if err != nil {
+				return "", nil, err
+			}
+			handler, closeSrv = s.Handler(), s.Close
+		default:
+			return "", nil, fmt.Errorf("unknown kind %q", kind)
 		}
-		hs := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
-		go hs.Serve(ln)
-		stop := func() {
-			hs.Close()
-			closeSrv()
-		}
-		return "http://" + ln.Addr().String(), stop, nil
-	}
-	switch kind {
-	case "class":
-		s, err := server.NewEmpty(shards, core.DefaultConfig(3), []int{0, 1, 2}, core.MultiOptions{}, cfg)
-		if err != nil {
-			return "", nil, err
-		}
-		handler, closeSrv = s.Handler(), s.Close
-	case "cluster":
-		s, err := server.NewCluster(clustree.DefaultConfig(2), shards, cfg, server.ClusterOptions{SnapshotEvery: -1})
-		if err != nil {
-			return "", nil, err
-		}
-		handler, closeSrv = s.Handler(), s.Close
-	default:
-		return "", nil, fmt.Errorf("unknown kind %q", kind)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
+		closeSrv()
 		return "", nil, err
 	}
 	hs := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}

@@ -16,7 +16,7 @@
 // This package is the public facade: it re-exports the core types and
 // provides one-call training. The implementation lives in internal/
 // packages (core, bulkload, dataset, eval, stream, clustree, and the
-// substrates em, mixture, stats, kernels, mbr, rstar, sfc, vec).
+// substrates em, mixture, stats, kernels, mbr, sfc).
 //
 // # The frozen-Gaussian fast path
 //
@@ -57,7 +57,7 @@
 //
 // # Serving
 //
-// The internal/server package (driven by cmd/serveclass) serves
+// The internal/server package (driven by `serve class`, cmd/serve) serves
 // anytime classification over HTTP from a sharded multi-class model:
 // per-shard reader/writer locks let inserts proceed while other shards
 // keep classifying, a global token-bucket admission controller makes

@@ -2,8 +2,8 @@
 // in-process, ingest a labelled stream while serving reads, snapshot
 // the model, warm-start a second server from the snapshot and verify
 // it answers digit-identically — the full serving lifecycle without
-// leaving one process. cmd/serveclass wraps the same pieces behind
-// HTTP; see ARCHITECTURE.md for the design.
+// leaving one process. `serve class` (cmd/serve) wraps the same pieces
+// behind HTTP; see ARCHITECTURE.md for the design.
 package main
 
 import (

@@ -1,6 +1,6 @@
 // Package loadgen is the closed-loop/open-loop load harness: it drives
-// mixed insert/classify/ingest HTTP traffic against a live serveclass
-// or servecluster instance under a chosen arrival process (Poisson,
+// mixed insert/classify/ingest HTTP traffic against a live `serve
+// class` or `serve cluster` instance under a chosen arrival process (Poisson,
 // bursty on/off, diurnal ramp, adversarial hot-key, or fixed-
 // concurrency closed loop), records per-request latency in a lock-free
 // sharded HDR-style histogram (p50/p90/p99/p999, max), and scores

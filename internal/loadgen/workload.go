@@ -30,9 +30,9 @@ type Workload string
 
 // The two served workloads.
 const (
-	// WorkloadClassify drives a classification server (serveclass).
+	// WorkloadClassify drives a classification server (serve class).
 	WorkloadClassify Workload = "classify"
-	// WorkloadCluster drives a clustering server (servecluster).
+	// WorkloadCluster drives a clustering server (serve cluster).
 	WorkloadCluster Workload = "cluster"
 )
 

@@ -1,10 +1,9 @@
-// Package serve is the shared lifecycle runner of the serving
-// commands: it owns the boilerplate that serveclass and servecluster
-// previously each carried a copy of — start the HTTP server(s), run
-// WAL recovery in the background while /readyz reports 503, wait for
-// SIGTERM/SIGINT, drain gracefully (fail readiness, let in-flight
-// requests finish, stop maintenance) and persist the model on the way
-// out. It also owns the promote triggers of a replica: SIGHUP and the
+// Package serve is the lifecycle runner of the serving command — both
+// 'serve class' and 'serve cluster' run on it: start the HTTP
+// server(s), run WAL recovery in the background while /readyz reports
+// 503, wait for SIGTERM/SIGINT, drain gracefully (fail readiness, let
+// in-flight requests finish, stop maintenance) and persist the model
+// on the way out. It also owns the promote triggers of a replica: SIGHUP and the
 // promote-file poller both invoke the app's Promote hook in place, so
 // a follower can be flipped to primary without restarting.
 package serve

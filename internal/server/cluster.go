@@ -10,6 +10,7 @@ import (
 	"bayestree/internal/clustree"
 	"bayestree/internal/core"
 	"bayestree/internal/persist"
+	"bayestree/internal/replica"
 )
 
 // This file instantiates the engine for the paper's second anytime
@@ -190,7 +191,7 @@ func newClusterOver(trees []*clustree.Tree, clock int64, store *clustree.Snapsho
 		}
 		s.store = store
 	}
-	if err := s.init(models, cfg, true); err != nil {
+	if err := s.init(models, cfg, true, s); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -207,17 +208,8 @@ func ClusterFromSnapshot(r io.Reader, cfg Config, copts ClusterOptions) (*Cluste
 	return newClusterOver(set.Trees, set.Clock, set.Store, cfg, copts)
 }
 
-// WriteSnapshot encodes every shard's tree, the pyramidal store and the
-// logical clock into one versioned snapshot. It holds all shard locks
-// for the duration, so the snapshot is a consistent cut.
-func (s *ClusterServer) WriteSnapshot(w io.Writer) error {
-	return s.withAllRead(func(models []*ctree) error {
-		return s.encodeSet(w, models)
-	})
-}
-
-// encodeSet encodes the full server state; callers hold all shard
-// locks (WriteSnapshot's cut, or the checkpoint path's).
+// encodeSet implements workload: every shard's tree, the pyramidal
+// store and the logical clock in one versioned snapshot.
 func (s *ClusterServer) encodeSet(w io.Writer, models []*ctree) error {
 	trees := make([]*clustree.Tree, len(models))
 	for i, m := range models {
@@ -229,6 +221,35 @@ func (s *ClusterServer) encodeSet(w io.Writer, models []*ctree) error {
 		Trees: trees, Store: s.store, Clock: s.clock.Load(),
 	})
 }
+
+// replicaName implements workload.
+func (s *ClusterServer) replicaName() string { return replica.WorkloadCluster }
+
+// decodeRecord implements workload: a clustering record is (timestamp,
+// granted budget, x), the inputs that make a ClusTree descent
+// deterministic, and its key is the timestamp — replay merges the
+// shard logs by it to reproduce the global logical clock. The apply
+// advances this server's clock to the record's (per-shard order is
+// apply order, so this is monotone per shard; across shards the max
+// keeps the global clock consistent), so a follower's clock mirrors the
+// primary's.
+func (s *ClusterServer) decodeRecord(payload []byte) (int64, func(*ctree) error, error) {
+	ts, granted, x, err := decodeClusterRecord(s.ccfg.Dim, payload)
+	if err != nil {
+		return 0, nil, err
+	}
+	return ts, func(c *ctree) error {
+		if ts > s.clock.Load() {
+			s.clock.Store(ts)
+		}
+		_, err := c.t.InsertCounted(x, float64(ts), granted)
+		return err
+	}, nil
+}
+
+// applied implements workload: a record crossing a recording boundary
+// stores a pyramidal snapshot, as the original ingest did.
+func (s *ClusterServer) applied(ts int64) { s.maybeRecord(ts) }
 
 // Dim returns the dimensionality of served observations.
 func (s *ClusterServer) Dim() int { return s.ccfg.Dim }
@@ -280,9 +301,6 @@ func (s *ClusterServer) insertResolved(x []float64, requested int) (ClusterResul
 	if len(x) != s.ccfg.Dim {
 		return ClusterResult{}, fmt.Errorf("server: point dim %d != model dim %d", len(x), s.ccfg.Dim)
 	}
-	if s.Recovering() {
-		return ClusterResult{}, errRecovering
-	}
 	if err := s.writeAllowed(); err != nil {
 		return ClusterResult{}, err
 	}
@@ -314,48 +332,6 @@ func (s *ClusterServer) insertResolved(x []float64, requested int) (ClusterResul
 		Shard: idx, Requested: requested, Granted: granted,
 		NodesRead: visited, Parked: parked, Degraded: granted < requested,
 	}, nil
-}
-
-// ApplyReplicated applies one WAL record shipped from a primary to the
-// given shard, through the follower's own log-before-apply path. The
-// record carries the primary's timestamp and granted budget — the
-// inputs that make the descent deterministic — so the follower's tree
-// is digit-identical to the primary's at the same applied LSN. Used by
-// the replication tailer; not a client API.
-func (s *ClusterServer) ApplyReplicated(shard int, payload []byte) error {
-	if s.Recovering() {
-		return errRecovering
-	}
-	if shard < 0 || shard >= len(s.shards) {
-		return fmt.Errorf("server: replicated record for shard %d of %d", shard, len(s.shards))
-	}
-	ts, granted, x, err := decodeClusterRecord(s.ccfg.Dim, payload)
-	if err != nil {
-		return err
-	}
-	sh := s.shards[shard]
-	sh.mu.Lock()
-	// The follower's clock mirrors the primary's: advance to the shipped
-	// timestamp (per-shard order is apply order, so this is monotone per
-	// shard; across shards the max keeps the global clock consistent).
-	if ts > s.clock.Load() {
-		s.clock.Store(ts)
-	}
-	if s.durableOn() {
-		if err := s.logAppend(shard, payload); err != nil {
-			sh.mu.Unlock()
-			return fmt.Errorf("server: wal: %w", err)
-		}
-	}
-	_, err = sh.tree.t.InsertCounted(x, float64(ts), granted)
-	sh.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.inserts.Add(1)
-	s.repl.applied.Add(1)
-	s.maybeRecord(ts)
-	return nil
 }
 
 // maybeRecord stores a pyramidal snapshot of the union micro-clusters

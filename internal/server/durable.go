@@ -12,7 +12,6 @@ import (
 	"syscall"
 	"time"
 
-	"bayestree/internal/core"
 	"bayestree/internal/persist"
 	"bayestree/internal/wal"
 )
@@ -35,12 +34,14 @@ import (
 // A crash before the manifest write replays from the previous pair
 // (the rotated segments are still listed); after it, from the new one.
 //
-// Records are replayed digit-identically: the classification record
-// carries (label, x) — shard routing is content-hashed, so per-shard
-// replay reproduces the exact insert sequence — and the clustering
-// record carries (timestamp, granted budget, x), because a ClusTree
-// descent is deterministic given those; cluster replay merges the
-// per-shard logs by timestamp to reproduce the global logical clock.
+// Records are replayed digit-identically: the workload's record codec
+// (workload.decodeRecord) carries every input of the apply, and one
+// replay loop merges the per-shard logs by the record's key. The
+// classification record carries (label, x) under a constant key —
+// shard routing is content-hashed, so replaying shard by shard
+// reproduces the exact insert sequence — and the clustering record
+// carries (timestamp, granted budget, x) keyed by the timestamp, so the
+// merge reproduces the global logical clock.
 
 // DurabilityOptions configure the write-ahead log + checkpoint layer a
 // served workload can run over.
@@ -99,39 +100,20 @@ func snapshotName(gen uint64) string {
 	return fmt.Sprintf("snapshot-%08d.btsn", gen)
 }
 
-// durOpen is what opening a durability directory yields: the manifest
-// (if any), the held directory lock and any persisted fencing state.
-type durOpen struct {
-	manifest    persist.Manifest
-	hadState    bool
-	lock        *os.File
-	fencedEpoch uint64
-	hadFenced   bool
-}
-
 // attachDurability arms the engine's durability state: the server is
 // "recovering" (writes rejected, /readyz 503) until Recover replays
-// the WAL tail and opens the logs. A FENCED marker left by a previous
-// incarnation re-fences the process unless the manifest has since
-// caught up to the fencing epoch (i.e. this directory was itself
-// promoted).
-func (e *engine[M]) attachDurability(opts DurabilityOptions, do durOpen) {
-	e.dur = &durState{opts: opts, manifest: do.manifest, hadState: do.hadState, lock: do.lock}
-	e.dur.epoch = do.manifest.Epoch
-	e.dur.hub = newReplHub()
-	e.dur.recovering.Store(true)
-	if do.hadFenced {
-		if do.manifest.Epoch >= do.fencedEpoch {
-			clearFenced(opts.Dir)
-		} else {
-			e.repl.fencedBy.Store(do.fencedEpoch)
-			e.repl.fenced.Store(true)
-		}
+// the WAL tail and opens the logs. fencedBy > 0 re-fences the process
+// against that epoch.
+func (e *engine[M]) attachDurability(d *durState, fencedBy uint64) {
+	e.dur = d
+	if fencedBy > 0 {
+		e.repl.fencedBy.Store(fencedBy)
+		e.repl.fenced.Store(true)
 	}
 }
 
 // Recovering reports whether the engine is still replaying its WAL —
-// writes are rejected and /healthz fails until it completes.
+// writes are rejected and /readyz fails until it completes.
 func (e *engine[M]) Recovering() bool {
 	return e.dur != nil && e.dur.recovering.Load()
 }
@@ -154,6 +136,33 @@ func (e *engine[M]) logAppend(idx int, payload []byte) error {
 		return err
 	}
 	e.dur.hub.publish(idx, payload)
+	return nil
+}
+
+// logApply is the log-before-apply write: under shard idx's write lock
+// it appends rec to the shard's WAL (on a durable server), applies it,
+// re-publishes the descent mirror while the lock still fences readers
+// (split-free inserts patch in place, splits rebuild) and counts the
+// insert. The apply must be total — callers pre-validate — so no
+// logged record can fail replay.
+func (e *engine[M]) logApply(idx int, rec []byte, apply func(M) error) error {
+	sh := e.shards[idx]
+	sh.mu.Lock()
+	if e.durableOn() {
+		if err := e.logAppend(idx, rec); err != nil {
+			sh.mu.Unlock()
+			return fmt.Errorf("server: wal: %w", err)
+		}
+	}
+	err := apply(sh.tree)
+	if err == nil {
+		e.refreshShardSoA(sh)
+	}
+	sh.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	e.inserts.Add(1)
 	return nil
 }
 
@@ -187,22 +196,20 @@ func (e *engine[M]) openLogs() error {
 	return nil
 }
 
-// finishRecovery flips the engine into serving mode; openLogs must have
-// succeeded first.
-func (e *engine[M]) finishRecovery() { e.dur.recovering.Store(false) }
-
-// checkpoint writes a new snapshot generation and truncates the WAL
-// behind it: rotate every shard's log under all shard locks (the same
-// consistent cut the snapshot sees), write the snapshot atomically,
-// commit the new manifest, then garbage-collect the old segments and
-// snapshot. Crash-safe at every step — the manifest write is the commit
-// point.
-func (e *engine[M]) checkpoint(encode func(io.Writer, []M) error) error {
-	_, _, _, err := e.checkpointSubscribe(encode, nil)
+// Checkpoint writes a new snapshot generation and truncates the WAL
+// behind it — the durable form of WriteSnapshot: rotate every shard's
+// log under all shard locks (the same consistent cut the snapshot
+// sees), write the snapshot atomically, commit the new manifest, then
+// garbage-collect the old segments and snapshot. Crash-safe at every
+// step — the manifest write is the commit point. The serving commands
+// run it on drain; long-lived deployments can also call it periodically
+// to bound replay time.
+func (e *engine[M]) Checkpoint() error {
+	_, _, _, err := e.checkpointSubscribe(nil)
 	return err
 }
 
-// checkpointSubscribe is checkpoint with an optional replication
+// checkpointSubscribe is Checkpoint with an optional replication
 // subscriber: when sub is non-nil it is attached to the hub inside the
 // withAllRead cut — all shard locks held, so no append can land between
 // the snapshot and the attachment — and the new snapshot is returned as
@@ -211,7 +218,7 @@ func (e *engine[M]) checkpoint(encode func(io.Writer, []M) error) error {
 // collection (unlink keeps the inode readable), so /replicate can
 // stream it without racing the next checkpoint. With sub nil both
 // returns are zero and no file is opened.
-func (e *engine[M]) checkpointSubscribe(encode func(io.Writer, []M) error, sub *replSub) (persist.Manifest, *os.File, uint64, error) {
+func (e *engine[M]) checkpointSubscribe(sub *replSub) (persist.Manifest, *os.File, uint64, error) {
 	d := e.dur
 	if d == nil {
 		return persist.Manifest{}, nil, 0, fmt.Errorf("server: durability not configured")
@@ -237,7 +244,7 @@ func (e *engine[M]) checkpointSubscribe(encode func(io.Writer, []M) error, sub *
 			baseLSN = d.hub.attach(sub)
 		}
 		return persist.WriteFileAtomic(filepath.Join(d.opts.Dir, name), func(w io.Writer) error {
-			return encode(w, models)
+			return e.wl.encodeSet(w, models)
 		})
 	})
 	if err != nil {
@@ -388,56 +395,58 @@ func decodeClusterRecord(dim int, p []byte) (ts int64, granted int, x []float64,
 	return ts, granted, x, nil
 }
 
-// ---------------------------------------------------------------------
-// classification workload
-
 // OpenDurableServer opens (or creates) the durable classification state
 // at dopts.Dir: when a manifest exists its snapshot generation is
 // loaded and bootstrap is not called; otherwise bootstrap supplies the
 // initial server (empty shards, a data set, or a legacy snapshot file).
-// The returned server is recovering — /healthz fails and writes are
+// The returned server is recovering — /readyz fails and writes are
 // rejected — until Recover replays the WAL tail. The directory is
 // locked (flock) for the life of the server, so a second process
 // pointed at the same -wal-dir fails here instead of truncating live
 // segments out from under the first.
 func OpenDurableServer(dopts DurabilityOptions, cfg Config, bootstrap func() (*Server, error)) (*Server, error) {
-	s, do, err := openDurable(dopts, func(r io.Reader) (*Server, error) {
+	return openDurable(dopts, func(r io.Reader) (*Server, error) {
 		return FromSnapshot(r, cfg)
 	}, bootstrap)
-	if err != nil {
-		return nil, err
-	}
-	s.attachDurability(dopts, do)
-	return s, nil
+}
+
+// OpenDurableCluster is OpenDurableServer for the clustering workload:
+// manifest + checkpoint snapshot win, otherwise bootstrap supplies the
+// initial server. The result is recovering until Recover completes.
+func OpenDurableCluster(dopts DurabilityOptions, cfg Config, copts ClusterOptions, bootstrap func() (*ClusterServer, error)) (*ClusterServer, error) {
+	return openDurable(dopts, func(r io.Reader) (*ClusterServer, error) {
+		return ClusterFromSnapshot(r, cfg, copts)
+	}, bootstrap)
 }
 
 // openDurable is the open sequence both workloads share: lock + sweep
 // the directory, load the manifest, decode its checkpoint snapshot (or
-// bootstrap a fresh model), and check the shard layout. On error the
-// directory lock is released.
+// bootstrap a fresh model), check the shard layout and arm the
+// durability state. On error the directory lock is released.
 func openDurable[S interface {
 	comparable
 	NumShards() int
-}](dopts DurabilityOptions, decode func(io.Reader) (S, error), bootstrap func() (S, error)) (S, durOpen, error) {
+	attachDurability(*durState, uint64)
+}](dopts DurabilityOptions, decode func(io.Reader) (S, error), bootstrap func() (S, error)) (S, error) {
 	var zero S
-	do, err := openDurableDir(dopts)
+	d, fencedBy, err := openDurableDir(dopts)
 	if err != nil {
-		return zero, do, err
+		return zero, err
 	}
-	fail := func(err error) (S, durOpen, error) {
-		do.lock.Close()
-		return zero, durOpen{}, err
+	fail := func(err error) (S, error) {
+		d.lock.Close()
+		return zero, err
 	}
 	var s S
-	if do.hadState && do.manifest.Snapshot != "" {
-		f, err := os.Open(filepath.Join(dopts.Dir, do.manifest.Snapshot))
+	if d.hadState && d.manifest.Snapshot != "" {
+		f, err := os.Open(filepath.Join(dopts.Dir, d.manifest.Snapshot))
 		if err != nil {
 			return fail(fmt.Errorf("server: checkpoint snapshot: %w", err))
 		}
 		s, err = decode(f)
 		f.Close()
 		if err != nil {
-			return fail(fmt.Errorf("server: checkpoint snapshot %s: %w", do.manifest.Snapshot, err))
+			return fail(fmt.Errorf("server: checkpoint snapshot %s: %w", d.manifest.Snapshot, err))
 		}
 	} else {
 		if s, err = bootstrap(); err != nil {
@@ -447,38 +456,49 @@ func openDurable[S interface {
 			return fail(fmt.Errorf("server: nil bootstrap server"))
 		}
 	}
-	if do.hadState && do.manifest.Shards != s.NumShards() {
-		return fail(fmt.Errorf("server: manifest has %d shards, model has %d", do.manifest.Shards, s.NumShards()))
+	if d.hadState && d.manifest.Shards != s.NumShards() {
+		return fail(fmt.Errorf("server: manifest has %d shards, model has %d", d.manifest.Shards, s.NumShards()))
 	}
-	return s, do, nil
+	s.attachDurability(d, fencedBy)
+	return s, nil
 }
 
 // openDurableDir validates the options, creates and exclusively locks
-// the root directory, sweeps stale temp files and loads the manifest.
-func openDurableDir(dopts DurabilityOptions) (durOpen, error) {
+// the root directory, sweeps stale temp files and loads the manifest
+// into a recovering durState. A FENCED marker left by a previous
+// incarnation comes back as fencedBy, unless the manifest has since
+// caught up to the fencing epoch (i.e. this directory was itself
+// promoted) — then the marker is cleared.
+func openDurableDir(dopts DurabilityOptions) (d *durState, fencedBy uint64, err error) {
 	if dopts.Dir == "" {
-		return durOpen{}, fmt.Errorf("server: durability dir required")
+		return nil, 0, fmt.Errorf("server: durability dir required")
 	}
 	if err := os.MkdirAll(dopts.Dir, 0o755); err != nil {
-		return durOpen{}, fmt.Errorf("server: %w", err)
+		return nil, 0, fmt.Errorf("server: %w", err)
 	}
 	lock, err := lockDir(dopts.Dir)
 	if err != nil {
-		return durOpen{}, err
+		return nil, 0, err
 	}
 	// Sweep temp files a crash mid-checkpoint stranded before staging
 	// new ones through the same directory.
 	if err := persist.RemoveStaleTemps(dopts.Dir); err != nil {
 		lock.Close()
-		return durOpen{}, err
+		return nil, 0, err
 	}
 	m, had, err := persist.LoadManifest(dopts.Dir)
 	if err != nil {
 		lock.Close()
-		return durOpen{}, err
+		return nil, 0, err
 	}
-	fe, hadFenced := readFenced(dopts.Dir)
-	return durOpen{manifest: m, hadState: had, lock: lock, fencedEpoch: fe, hadFenced: hadFenced}, nil
+	if fe, ok := readFenced(dopts.Dir); ok && m.Epoch >= fe {
+		clearFenced(dopts.Dir)
+	} else if ok {
+		fencedBy = fe
+	}
+	d = &durState{opts: dopts, manifest: m, hadState: had, lock: lock, epoch: m.Epoch, hub: newReplHub()}
+	d.recovering.Store(true)
+	return d, fencedBy, nil
 }
 
 // lockDir takes a non-blocking exclusive flock on dir/LOCK — the
@@ -501,75 +521,110 @@ func lockDir(dir string) (*os.File, error) {
 // appending and — when anything was replayed or this is a fresh
 // directory — folds the result into a new checkpoint, so the next
 // restart replays from a short log. Idempotent once recovered.
-func (s *Server) Recover() error {
-	d := s.dur
+func (e *engine[M]) Recover() error {
+	d := e.dur
 	if d == nil {
 		return fmt.Errorf("server: durability not configured")
 	}
 	if !d.recovering.Load() {
 		return nil
 	}
-	for i, sh := range s.shards {
-		r, err := wal.OpenReader(shardWALDir(d.opts.Dir, i), s.shardLogStart(i))
-		if err != nil {
-			return fmt.Errorf("server: wal shard %d: %w", i, err)
-		}
-		err = func() error {
-			defer r.Close()
-			for {
-				payload, err := r.Next()
-				if err == io.EOF {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-				label, x, err := decodeClassRecord(s.dim, payload)
-				if err != nil {
-					return err
-				}
-				// The shard lock keeps replay exclusive against a running
-				// decay-maintenance loop.
-				sh.mu.Lock()
-				err = sh.tree.Insert(x, label)
-				sh.mu.Unlock()
-				if err != nil {
-					return fmt.Errorf("replay: %w", err)
-				}
-				d.replayed.Add(1)
-			}
-		}()
-		if err != nil {
-			return fmt.Errorf("server: wal shard %d: %w", i, err)
-		}
-		d.dropped.Add(int64(r.Dropped()))
-	}
-	if err := s.openLogs(); err != nil {
+	if err := e.replay(); err != nil {
 		return err
 	}
-	// Replay leaves the descent mirrors unpublished (every Insert
+	if err := e.openLogs(); err != nil {
+		return err
+	}
+	// Replay leaves the descent mirrors unpublished (every apply
 	// invalidates); one refresh per shard restores the fast path before
 	// the server starts answering.
-	for _, sh := range s.shards {
+	for _, sh := range e.shards {
 		sh.mu.Lock()
-		s.refreshShardSoA(sh)
+		e.refreshShardSoA(sh)
 		sh.mu.Unlock()
 	}
-	s.finishRecovery()
+	d.recovering.Store(false)
 	if !d.hadState || d.replayed.Load() > 0 || d.dropped.Load() > 0 {
-		return s.Checkpoint()
+		return e.Checkpoint()
 	}
 	return nil
 }
 
-// Checkpoint writes a new snapshot generation and truncates the WAL
-// behind it — the durable form of WriteSnapshot. The serving commands
-// run it on drain; long-lived deployments can also call it
-// periodically to bound replay time.
-func (s *Server) Checkpoint() error {
-	return s.checkpoint(func(w io.Writer, trees []*core.MultiTree) error {
-		return persist.EncodeMultiTrees(w, trees)
-	})
+// replay applies every shard's WAL tail, merging the per-shard logs by
+// record key: each step applies the pending record with the smallest
+// key, ties to the lowest shard — so a constant key replays shard by
+// shard and a timestamp key replays in global clock order.
+func (e *engine[M]) replay() error {
+	d := e.dur
+	type head struct {
+		key   int64
+		apply func(M) error
+	}
+	readers := make([]*wal.Reader, len(e.shards))
+	heads := make([]head, len(e.shards)) // apply nil: log exhausted
+	defer func() {
+		for _, r := range readers {
+			if r != nil {
+				r.Close()
+			}
+		}
+	}()
+	advance := func(i int) error {
+		heads[i] = head{}
+		payload, err := readers[i].Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("server: wal shard %d: %w", i, err)
+		}
+		key, apply, err := e.wl.decodeRecord(payload)
+		if err != nil {
+			return fmt.Errorf("server: wal shard %d: %w", i, err)
+		}
+		heads[i] = head{key: key, apply: apply}
+		return nil
+	}
+	for i := range e.shards {
+		r, err := wal.OpenReader(shardWALDir(d.opts.Dir, i), e.shardLogStart(i))
+		if err != nil {
+			return fmt.Errorf("server: wal shard %d: %w", i, err)
+		}
+		readers[i] = r
+		if err := advance(i); err != nil {
+			return err
+		}
+	}
+	for {
+		best := -1
+		for i, h := range heads {
+			if h.apply != nil && (best < 0 || h.key < heads[best].key) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		h := heads[best]
+		sh := e.shards[best]
+		// The shard lock keeps replay exclusive against a running decay-
+		// maintenance loop.
+		sh.mu.Lock()
+		err := h.apply(sh.tree)
+		sh.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("server: replay shard %d: %w", best, err)
+		}
+		d.replayed.Add(1)
+		e.wl.applied(h.key)
+		if err := advance(best); err != nil {
+			return err
+		}
+	}
+	for _, r := range readers {
+		d.dropped.Add(int64(r.Dropped()))
+	}
+	return nil
 }
 
 // knownLabel reports whether the server predicts this class — the
@@ -582,128 +637,4 @@ func (s *Server) knownLabel(label int) bool {
 		}
 	}
 	return false
-}
-
-// ---------------------------------------------------------------------
-// clustering workload
-
-// OpenDurableCluster is OpenDurableServer for the clustering workload:
-// manifest + checkpoint snapshot win, otherwise bootstrap supplies the
-// initial server. The result is recovering until Recover completes.
-func OpenDurableCluster(dopts DurabilityOptions, cfg Config, copts ClusterOptions, bootstrap func() (*ClusterServer, error)) (*ClusterServer, error) {
-	s, do, err := openDurable(dopts, func(r io.Reader) (*ClusterServer, error) {
-		return ClusterFromSnapshot(r, cfg, copts)
-	}, bootstrap)
-	if err != nil {
-		return nil, err
-	}
-	s.attachDurability(dopts, do)
-	return s, nil
-}
-
-// clusterReplayHead is one shard's next pending record during the
-// timestamp merge.
-type clusterReplayHead struct {
-	ts      int64
-	granted int
-	x       []float64
-}
-
-// Recover replays the WAL tail into the shard trees. The per-shard logs
-// are merged by logical timestamp so the global clock — and the
-// pyramidal store's recording boundaries — advance exactly as they did
-// in the original run, then the logs open for appending and the result
-// is folded into a new checkpoint. Idempotent once recovered.
-func (s *ClusterServer) Recover() error {
-	d := s.dur
-	if d == nil {
-		return fmt.Errorf("server: durability not configured")
-	}
-	if !d.recovering.Load() {
-		return nil
-	}
-	readers := make([]*wal.Reader, len(s.shards))
-	heads := make([]*clusterReplayHead, len(s.shards))
-	defer func() {
-		for _, r := range readers {
-			if r != nil {
-				r.Close()
-			}
-		}
-	}()
-	advance := func(i int) error {
-		heads[i] = nil
-		payload, err := readers[i].Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("server: wal shard %d: %w", i, err)
-		}
-		ts, granted, x, err := decodeClusterRecord(s.ccfg.Dim, payload)
-		if err != nil {
-			return fmt.Errorf("server: wal shard %d: %w", i, err)
-		}
-		heads[i] = &clusterReplayHead{ts: ts, granted: granted, x: x}
-		return nil
-	}
-	for i := range s.shards {
-		r, err := wal.OpenReader(shardWALDir(d.opts.Dir, i), s.shardLogStart(i))
-		if err != nil {
-			return fmt.Errorf("server: wal shard %d: %w", i, err)
-		}
-		readers[i] = r
-		if err := advance(i); err != nil {
-			return err
-		}
-	}
-	for {
-		best := -1
-		for i, h := range heads {
-			if h != nil && (best < 0 || h.ts < heads[best].ts) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		h := heads[best]
-		sh := s.shards[best]
-		// The shard lock keeps replay exclusive against a running decay-
-		// maintenance loop.
-		sh.mu.Lock()
-		if h.ts > s.clock.Load() {
-			s.clock.Store(h.ts)
-		}
-		_, err := sh.tree.t.InsertCounted(h.x, float64(h.ts), h.granted)
-		sh.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("server: replay shard %d: %w", best, err)
-		}
-		d.replayed.Add(1)
-		s.maybeRecord(h.ts)
-		if err := advance(best); err != nil {
-			return err
-		}
-	}
-	for i, r := range readers {
-		d.dropped.Add(int64(r.Dropped()))
-		readers[i] = nil
-		r.Close()
-	}
-	if err := s.openLogs(); err != nil {
-		return err
-	}
-	s.finishRecovery()
-	if !d.hadState || d.replayed.Load() > 0 || d.dropped.Load() > 0 {
-		return s.Checkpoint()
-	}
-	return nil
-}
-
-// Checkpoint writes a new snapshot generation (trees, pyramidal store,
-// clock) and truncates the WAL behind it — the durable form of
-// WriteSnapshot.
-func (s *ClusterServer) Checkpoint() error {
-	return s.checkpoint(s.encodeSet)
 }

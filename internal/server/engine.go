@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,8 +27,10 @@ import (
 //     sweeps faded mass one short write-lock slice at a time;
 //   - draining state for graceful shutdown behind a load balancer.
 //
-// A workload plugs in by implementing Model for its per-shard type and
-// embedding engine[M]; Server (classification) and ClusterServer
+// A workload plugs in by implementing Model for its per-shard type,
+// embedding engine[M] and handing init a workload[M] — its WAL record
+// codec, snapshot-set encoder and replica name; its own routes and
+// score merge stay with it. Server (classification) and ClusterServer
 // (clustering) are the two instantiations.
 
 // Model is the per-shard contract a workload implements to be served by
@@ -55,6 +58,25 @@ type Model interface {
 	DecayConfig() core.DecayOptions
 	// EnableDecay turns on (or overrides) exponential forgetting.
 	EnableDecay(core.DecayOptions) error
+}
+
+// workload is what an instantiation supplies beyond its per-shard
+// Model: everything durability and replication need that depends on
+// what the shards hold. Server and ClusterServer implement it.
+type workload[M Model] interface {
+	// decodeRecord parses one logged WAL payload into its replay key and
+	// the apply that lands it on the owning shard's model (the engine
+	// holds the shard write lock). Recovery replays every shard's log
+	// merged by ascending key, ties in shard order.
+	decodeRecord(payload []byte) (key int64, apply func(M) error, err error)
+	// applied runs after a replayed or replicated record's shard lock is
+	// released, with the record's key.
+	applied(key int64)
+	// encodeSet encodes the full server state; callers hold all shard
+	// locks.
+	encodeSet(w io.Writer, models []M) error
+	// replicaName is the workload name /replicate ships under.
+	replicaName() string
 }
 
 // soaShard is the optional model surface for the structure-of-arrays
@@ -85,6 +107,9 @@ type engine[M Model] struct {
 	// exclusive marks workloads whose reads mutate the model (lazily
 	// applied decay): their "read" paths take the shard write lock.
 	exclusive bool
+
+	// wl is the workload's codec and snapshot encoder.
+	wl workload[M]
 
 	// dur is the durability layer (write-ahead log + checkpoints), nil
 	// when the workload runs memory-only. See durable.go.
@@ -123,13 +148,14 @@ type engine[M Model] struct {
 // init wires the engine over pre-built per-shard models: admission,
 // decay override and the background maintenance loop. exclusive marks
 // workloads whose reads mutate the model.
-func (e *engine[M]) init(models []M, cfg Config, exclusive bool) error {
+func (e *engine[M]) init(models []M, cfg Config, exclusive bool, wl workload[M]) error {
 	if len(models) == 0 {
 		return fmt.Errorf("server: no shards")
 	}
 	cfg = cfg.withDefaults()
 	e.cfg = cfg
 	e.exclusive = exclusive
+	e.wl = wl
 	e.start = time.Now()
 	for _, m := range models {
 		e.shards = append(e.shards, &shard[M]{tree: m})
@@ -299,11 +325,12 @@ func (e *engine[M]) Len() int {
 	return total
 }
 
-// SetDraining marks the engine as draining (or not): /healthz starts
+// SetDraining marks the engine as draining (or not): /readyz starts
 // failing so load balancers stop routing here and newly arriving
-// requests are rejected with 503. Requests already being processed are
-// unaffected — the serving commands pair this with http.Server.Shutdown,
-// which waits for them to finish.
+// requests are rejected with 503 (/healthz, pure liveness, stays 200).
+// Requests already being processed are unaffected — the serving
+// command pairs this with http.Server.Shutdown, which waits for them to
+// finish.
 func (e *engine[M]) SetDraining(v bool) { e.draining.Store(v) }
 
 // Draining reports whether the engine is draining.
@@ -394,6 +421,17 @@ func splitBudget(granted int, sizes []int, total int) []int {
 		}
 	}
 	return budgets
+}
+
+// WriteSnapshot encodes the full served state into one versioned
+// snapshot. It holds all shard locks for the duration (read locks,
+// write locks for exclusive workloads), so the snapshot is a
+// consistent cut: on the classifier, concurrent classifications
+// proceed and inserts wait.
+func (e *engine[M]) WriteSnapshot(w io.Writer) error {
+	return e.withAllRead(func(models []M) error {
+		return e.wl.encodeSet(w, models)
+	})
 }
 
 // withAllRead runs fn over every shard's model while holding all shard

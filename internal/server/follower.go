@@ -76,64 +76,54 @@ type Follower[S replicaModel] struct {
 // is recovered and served immediately; otherwise reads answer 503 until
 // the first bootstrap arrives. Drive it with a replica.Tailer.
 func NewFollowerServer(dopts DurabilityOptions, cfg Config, primaryURL string) (*Follower[*Server], error) {
-	f := &Follower[*Server]{
-		dopts:      dopts,
-		workload:   replica.WorkloadClassify,
-		primaryURL: primaryURL,
-	}
-	f.open = func() (*Server, error) {
+	return newFollower(dopts, replica.WorkloadClassify, primaryURL, func() (*Server, error) {
 		return OpenDurableServer(dopts, cfg, func() (*Server, error) { return nil, errNoLocalState })
-	}
-	return f, f.warmStart()
+	})
 }
 
 // NewFollowerCluster is NewFollowerServer for the clustering workload.
 func NewFollowerCluster(dopts DurabilityOptions, cfg Config, copts ClusterOptions, primaryURL string) (*Follower[*ClusterServer], error) {
-	f := &Follower[*ClusterServer]{
-		dopts:      dopts,
-		workload:   replica.WorkloadCluster,
-		primaryURL: primaryURL,
-	}
-	f.open = func() (*ClusterServer, error) {
+	return newFollower(dopts, replica.WorkloadCluster, primaryURL, func() (*ClusterServer, error) {
 		return OpenDurableCluster(dopts, cfg, copts, func() (*ClusterServer, error) { return nil, errNoLocalState })
-	}
-	return f, f.warmStart()
+	})
 }
 
-// warmStart recovers existing local state so a restarted follower
-// serves reads before its tail reconnects. No local state is fine —
-// the first bootstrap supplies it.
-func (f *Follower[S]) warmStart() error {
-	s, err := f.open()
+// newFollower builds a follower over open and recovers existing local
+// state, so a restarted follower serves reads before its tail
+// reconnects. No local state is fine — the first bootstrap supplies it.
+func newFollower[S replicaModel](dopts DurabilityOptions, workload, primaryURL string, open func() (S, error)) (*Follower[S], error) {
+	f := &Follower[S]{dopts: dopts, workload: workload, primaryURL: primaryURL, open: open}
+	s, err := open()
 	if err != nil {
 		if errors.Is(err, errNoLocalState) {
-			return nil
+			return f, nil
 		}
-		return err
+		return f, err
 	}
 	if err := s.Recover(); err != nil {
 		s.CloseDurability()
-		return err
+		return f, err
 	}
 	s.setFollower(f.primaryURL)
-	f.mu.Lock()
 	f.cur = s
-	f.mu.Unlock()
-	return nil
+	return f, nil
 }
 
-// current returns the follower's live server (zero before the first
-// bootstrap).
-func (f *Follower[S]) current() S {
+// current returns the follower's live server; ok is false before the
+// first bootstrap.
+func (f *Follower[S]) current() (s S, ok bool) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return f.cur
+	return f.cur, f.cur != s
 }
 
 // Current returns the follower's live workload server, or the zero
 // value before the first bootstrap lands. Promotion does not change the
 // returned server — after Promote it simply serves writes too.
-func (f *Follower[S]) Current() S { return f.current() }
+func (f *Follower[S]) Current() S {
+	s, _ := f.current()
+	return s
+}
 
 // Bootstrap implements replica.Sink: it replaces the follower's state
 // with the shipped checkpoint. The snapshot is written into the
@@ -232,9 +222,8 @@ func (f *Follower[S]) Bootstrap(h replica.Header, snapshot io.Reader) error {
 // Apply implements replica.Sink: one shipped WAL record, logged then
 // applied on the owning shard.
 func (f *Follower[S]) Apply(shard int, payload []byte) error {
-	var zero S
-	s := f.current()
-	if s == zero {
+	s, ok := f.current()
+	if !ok {
 		return fmt.Errorf("server: apply before bootstrap")
 	}
 	return s.ApplyReplicated(shard, payload)
@@ -243,8 +232,7 @@ func (f *Follower[S]) Apply(shard int, payload []byte) error {
 // CaughtUp implements replica.Sink: a primary heartbeat at shipped LSN
 // lsn resets the staleness clock if we have applied that far.
 func (f *Follower[S]) CaughtUp(lsn uint64) {
-	var zero S
-	if s := f.current(); s != zero {
+	if s, ok := f.current(); ok {
 		s.markCaughtUp(lsn)
 	}
 }
@@ -252,8 +240,7 @@ func (f *Follower[S]) CaughtUp(lsn uint64) {
 // Connected implements replica.Sink, recording tail connectivity for
 // /stats.
 func (f *Follower[S]) Connected(ok bool) {
-	var zero S
-	if s := f.current(); s != zero {
+	if s, ok := f.current(); ok {
 		s.setReplConnected(ok)
 	}
 }
@@ -262,8 +249,7 @@ func (f *Follower[S]) Connected(ok bool) {
 // announces on every connect. Before the first bootstrap it falls back
 // to the on-disk manifest (0 when none).
 func (f *Follower[S]) Epoch() uint64 {
-	var zero S
-	if s := f.current(); s != zero {
+	if s, ok := f.current(); ok {
 		return s.Epoch()
 	}
 	if m, ok, err := persist.LoadManifest(f.dopts.Dir); err == nil && ok {
@@ -278,8 +264,7 @@ func (f *Follower[S]) Epoch() uint64 {
 // first bootstrap.
 func (f *Follower[S]) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var zero S
-		if s := f.current(); s != zero {
+		if s, ok := f.current(); ok {
 			s.Handler().ServeHTTP(w, r)
 			return
 		}
@@ -306,9 +291,8 @@ func (f *Follower[S]) Handler() http.Handler {
 // still (or again) alive; a dead primary learns the same the moment
 // anything probes it with the new epoch.
 func (f *Follower[S]) Promote() error {
-	var zero S
-	s := f.current()
-	if s == zero {
+	s, ok := f.current()
+	if !ok {
 		return fmt.Errorf("server: nothing to promote: no bootstrap received yet")
 	}
 	if !f.promoted.CompareAndSwap(false, true) {
@@ -342,8 +326,7 @@ func fenceProbe(primaryURL string, epoch uint64) {
 // SetDraining forwards draining state to the wrapped server (no-op
 // before the first bootstrap).
 func (f *Follower[S]) SetDraining(v bool) {
-	var zero S
-	if s := f.current(); s != zero {
+	if s, ok := f.current(); ok {
 		s.SetDraining(v)
 	}
 }
@@ -351,8 +334,7 @@ func (f *Follower[S]) SetDraining(v bool) {
 // Close stops the wrapped server's background maintenance (no-op before
 // the first bootstrap).
 func (f *Follower[S]) Close() {
-	var zero S
-	if s := f.current(); s != zero {
+	if s, ok := f.current(); ok {
 		s.Close()
 	}
 }
@@ -360,9 +342,8 @@ func (f *Follower[S]) Close() {
 // Persist cuts a final checkpoint and closes the durability layer — the
 // follower's shutdown path. Stop the tailer first.
 func (f *Follower[S]) Persist() error {
-	var zero S
-	s := f.current()
-	if s == zero {
+	s, ok := f.current()
+	if !ok {
 		return nil
 	}
 	if err := s.Checkpoint(); err != nil {

@@ -63,16 +63,79 @@ type lineResponse struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Handler returns the HTTP handler serving the four endpoints.
+// Handler returns the HTTP handler serving the classification
+// endpoints.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
+	mux := s.newMux(func() any { return s.Stats() })
 	mux.HandleFunc("/classify", s.handleClassify)
 	mux.HandleFunc("/insert", s.handleInsert)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/replicate", s.handleReplicate)
 	return mux
+}
+
+// newMux returns a mux serving the routes every workload shares —
+// /stats (the workload's stats), /healthz, /readyz and /replicate — for
+// the workload to add its own routes to.
+func (e *engine[M]) newMux(stats func() any) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			writeError(w, http.StatusMethodNotAllowed, "GET only")
+			return
+		}
+		writeJSON(w, http.StatusOK, stats())
+	})
+	// /healthz is pure liveness: 200 as long as the process is up and
+	// listening, even mid-recovery — so orchestrators do not kill a
+	// process that is busy replaying its WAL. Routability is /readyz's
+	// job: 503 + Retry-After while WAL replay is rebuilding the model or
+	// the process is draining — the endpoint load balancers route on.
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintln(w, "ok")
+	})
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case e.Recovering():
+			writeNotReady(w, "recovering")
+		case e.Draining():
+			writeNotReady(w, "draining")
+		default:
+			fmt.Fprintln(w, "ok")
+		}
+	})
+	mux.HandleFunc("/replicate", e.handleReplicate)
+	return mux
+}
+
+// writeGate admits a write request or answers it itself: POST only, a
+// follower redirects to its primary, and refuse turns the rest away. It
+// reports whether the caller should serve the write.
+func (e *engine[M]) writeGate(w http.ResponseWriter, r *http.Request) bool {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		return false
+	}
+	if primary := e.followerRedirect(); primary != "" {
+		redirectToPrimary(w, r, primary)
+		return false
+	}
+	return !e.refuse(w)
+}
+
+// refuse answers 503 to a write or replication request this process
+// cannot take — a fenced primary refuses, recovery and draining ask for
+// a retry — and reports whether it did.
+func (e *engine[M]) refuse(w http.ResponseWriter) bool {
+	switch {
+	case e.replFenced():
+		writeError(w, http.StatusServiceUnavailable, "fenced: a newer primary (epoch %d) exists", e.repl.fencedBy.Load())
+	case e.Recovering():
+		writeUnavailable(w, "recovering: WAL replay in progress")
+	case e.Draining():
+		writeUnavailable(w, "draining")
+	default:
+		return false
+	}
+	return true
 }
 
 // isStream reports whether the request carries an NDJSON batch body.
@@ -106,20 +169,6 @@ func writeUnavailable(w http.ResponseWriter, format string, args ...interface{})
 func writeNotReady(w http.ResponseWriter, reason string) {
 	w.Header().Set("Retry-After", "1")
 	http.Error(w, reason, http.StatusServiceUnavailable)
-}
-
-// writeReady is the shared /readyz body: 503 + Retry-After while the
-// process cannot serve (recovering or draining), 200 otherwise.
-func writeReady(w http.ResponseWriter, recovering, draining bool) {
-	if recovering || draining {
-		reason := "draining"
-		if recovering {
-			reason = "recovering"
-		}
-		writeNotReady(w, reason)
-		return
-	}
-	fmt.Fprintln(w, "ok")
 }
 
 // redirectToPrimary answers a write sent to a follower with a 307 to
@@ -161,20 +210,55 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if isStream(r) {
-		s.streamClassify(w, r)
+		servePool(w, r, func(req classifyRequest) (any, error) {
+			res, err := s.classifyWire(req)
+			return lineResponse{Result: res}, err
+		}, func(msg string) any { return lineResponse{Error: msg} })
 		return
 	}
-	var req classifyRequest
+	serveOne(w, r, func(req classifyRequest) (any, error) { return s.classifyWire(req) })
+}
+
+// serveOne serves the single-request JSON form of a POST endpoint: the
+// body decodes into a Req and fn's result is the response; either
+// failing answers 400.
+func serveOne[Req any](w http.ResponseWriter, r *http.Request, fn func(Req) (any, error)) {
+	var req Req
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	res, err := s.classifyWire(req)
+	res, err := fn(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
+}
+
+// servePool serves the NDJSON batch form of a POST endpoint: windows of
+// request lines are answered by fn on a worker pool (each item admitted
+// individually — inserts to distinct shards proceed in parallel), and
+// response lines are written in input order and flushed per window. A
+// line that fails gets errLine's shape and the stream keeps going.
+func servePool[Req any](w http.ResponseWriter, r *http.Request, fn func(Req) (any, error), errLine func(string) any) {
+	ndjsonStream(w, r, func(lines []string) []interface{} {
+		responses := make([]interface{}, len(lines))
+		runPool(len(lines), 8, func(i int) {
+			var req Req
+			if err := json.Unmarshal([]byte(lines[i]), &req); err != nil {
+				responses[i] = errLine(fmt.Sprintf("bad request line: %v", err))
+				return
+			}
+			res, err := fn(req)
+			if err != nil {
+				responses[i] = errLine(err.Error())
+				return
+			}
+			responses[i] = res
+		})
+		return responses
+	}, errLine)
 }
 
 // enableFullDuplex opts the connection out of the HTTP/1 server's
@@ -251,66 +335,20 @@ func ndjsonStream(w http.ResponseWriter, r *http.Request,
 	}
 }
 
-// streamClassify serves the NDJSON batch form: windows of request lines
-// are classified by a worker pool (each item admitted individually),
-// and response lines are written in input order and flushed per window.
-func (s *Server) streamClassify(w http.ResponseWriter, r *http.Request) {
-	ndjsonStream(w, r, func(lines []string) []interface{} {
-		responses := make([]interface{}, len(lines))
-		runPool(len(lines), 8, func(i int) {
-			var req classifyRequest
-			if err := json.Unmarshal([]byte(lines[i]), &req); err != nil {
-				responses[i] = lineResponse{Error: fmt.Sprintf("bad request line: %v", err)}
-				return
-			}
-			res, err := s.classifyWire(req)
-			if err != nil {
-				responses[i] = lineResponse{Error: err.Error()}
-				return
-			}
-			responses[i] = lineResponse{Result: res}
-		})
-		return responses
-	}, func(msg string) interface{} {
-		return lineResponse{Error: msg}
-	})
-}
-
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if primary := s.followerRedirect(); primary != "" {
-		redirectToPrimary(w, r, primary)
-		return
-	}
-	if s.replFenced() {
-		writeError(w, http.StatusServiceUnavailable, "fenced: a newer primary (epoch %d) exists", s.repl.fencedBy.Load())
-		return
-	}
-	if s.Recovering() {
-		writeUnavailable(w, "recovering: WAL replay in progress")
-		return
-	}
-	if s.Draining() {
-		writeUnavailable(w, "draining")
+	if !s.writeGate(w, r) {
 		return
 	}
 	if isStream(r) {
 		s.streamInsert(w, r)
 		return
 	}
-	var req insertRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if err := s.Insert(req.X, req.Label); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "observations": s.Len()})
+	serveOne(w, r, func(req insertRequest) (any, error) {
+		if err := s.Insert(req.X, req.Label); err != nil {
+			return nil, err
+		}
+		return map[string]interface{}{"ok": true, "observations": s.Len()}, nil
+	})
 }
 
 // streamInsert serves the NDJSON batch insert form: one ack line per
@@ -335,26 +373,4 @@ func (s *Server) streamInsert(w http.ResponseWriter, r *http.Request) {
 	}, func(msg string) interface{} {
 		return map[string]interface{}{"error": msg}
 	})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	writeJSON(w, http.StatusOK, s.Stats())
-}
-
-// handleHealthz is pure liveness: 200 as long as the process is up and
-// listening, even mid-recovery — so orchestrators do not kill a process
-// that is busy replaying its WAL. Routability is /readyz's job.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	fmt.Fprintln(w, "ok")
-}
-
-// handleReadyz is readiness: 503 + Retry-After while WAL replay is
-// rebuilding the model or the process is draining, 200 otherwise — the
-// endpoint load balancers should route on.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	writeReady(w, s.Recovering(), s.Draining())
 }

@@ -227,29 +227,49 @@ func TestHTTPInsertAndStats(t *testing.T) {
 		t.Fatalf("stats %+v, want 53 observations (all via Insert) over 2 shards", st)
 	}
 
-	// The SoA counters' JSON field names are API: serve one query, then
-	// pin the wire names and check a refreshed server reports mirror
-	// activity and a mirror-served classification.
-	resp, err = http.Post(ts.URL+"/classify", "application/json",
-		strings.NewReader(`{"x":[3.0,-3.0,0.2],"budget":10}`))
-	if err != nil {
-		t.Fatalf("classify: %v", err)
-	}
-	resp.Body.Close()
-	resp, err = http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatalf("stats: %v", err)
-	}
-	defer resp.Body.Close()
-	var raw map[string]interface{}
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-		t.Fatalf("stats decode: %v", err)
-	}
-	for _, key := range []string{"soa_hits", "soa_misses", "soa_rebuilds", "soa_patches", "soa_invalidations"} {
-		if _, ok := raw[key]; !ok {
-			t.Errorf("stats JSON missing wire name %q", key)
+	// The /stats JSON field names are API — the benchmark and the proxy
+	// prober read them — and one engine handler serves them for both
+	// workloads (the clusterer's through its embedded Stats). Serve one
+	// request on each, then pin the engine names plus each workload's
+	// own, and check a refreshed classifier reports mirror activity and a
+	// mirror-served classification.
+	cts := newClusterHTTP(t, newTestCluster(t, 2, 0, Config{}))
+	engineNames := []string{"requests", "nodes_requested", "nodes_read", "soa_hits", "soa_misses",
+		"soa_rebuilds", "soa_patches", "soa_invalidations", "wal_appends", "wal_syncs", "wal_bytes"}
+	raws := map[string]map[string]interface{}{}
+	for _, tc := range []struct {
+		url, path, body string
+		own             []string
+	}{
+		{ts.URL, "/classify", `{"x":[3.0,-3.0,0.2],"budget":10}`, []string{"labels"}},
+		{cts.URL, "/cluster", `{"x":[0.5,0.5],"budget":4}`, []string{"clock", "parked", "micro_clusters"}},
+	} {
+		resp, err := http.Post(tc.url+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
 		}
+		resp.Body.Close()
+		resp, err = http.Get(tc.url + "/stats")
+		if err != nil {
+			t.Fatalf("stats: %v", err)
+		}
+		var raw map[string]interface{}
+		err = json.NewDecoder(resp.Body).Decode(&raw)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("stats decode: %v", err)
+		}
+		for _, key := range append(append([]string(nil), engineNames...), tc.own...) {
+			if _, ok := raw[key]; !ok {
+				t.Errorf("%s server: stats JSON missing wire name %q", tc.path, key)
+			}
+		}
+		if n, _ := raw["requests"].(float64); n < 1 {
+			t.Errorf("%s server: requests = %v after one %s, want >= 1", tc.path, raw["requests"], tc.path)
+		}
+		raws[tc.path] = raw
 	}
+	raw := raws["/classify"]
 	if hits, _ := raw["soa_hits"].(float64); hits < 1 {
 		t.Errorf("soa_hits = %v after a classify on a refreshed server, want >= 1", raw["soa_hits"])
 	}

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bayestree/internal/core"
 	"bayestree/internal/persist"
 	"bayestree/internal/replica"
 )
@@ -229,9 +228,13 @@ func (e *engine[M]) markCaughtUpNow() {
 // setReplConnected records tail connectivity for /stats.
 func (e *engine[M]) setReplConnected(ok bool) { e.repl.connected.Store(ok) }
 
-// writeAllowed gates every write path by replication role: followers
-// point the client at the primary, a fenced primary refuses loudly.
+// writeAllowed gates every write path: nothing is written while WAL
+// replay runs, followers point the client at the primary, a fenced
+// primary refuses loudly.
 func (e *engine[M]) writeAllowed() error {
+	if e.Recovering() {
+		return errRecovering
+	}
 	if url := e.followerRedirect(); url != "" {
 		return fmt.Errorf("server: read-only follower: writes go to the primary at %s", url)
 	}
@@ -253,11 +256,12 @@ func (e *engine[M]) Epoch() uint64 {
 	return d.epoch
 }
 
-// promote turns this engine into the primary of a new line of
-// succession: bump the fencing epoch and cut a checkpoint under it (the
-// manifest write is the durable commit of the new epoch), then drop any
-// follower/fenced role state. checkpoint is the workload's Checkpoint.
-func (e *engine[M]) promote(checkpoint func() error) error {
+// Promote turns this server into the primary of a new line of
+// succession: the fencing epoch is bumped and durably committed via a
+// fresh checkpoint (the manifest write is the commit), and any
+// follower/fenced role state is dropped. Callers should stop their
+// replication tailer first.
+func (e *engine[M]) Promote() error {
 	d := e.dur
 	if d == nil {
 		return fmt.Errorf("server: promote requires durability (-wal-dir)")
@@ -268,7 +272,7 @@ func (e *engine[M]) promote(checkpoint func() error) error {
 	d.ckptMu.Lock()
 	d.epoch++
 	d.ckptMu.Unlock()
-	if err := checkpoint(); err != nil {
+	if err := e.Checkpoint(); err != nil {
 		d.ckptMu.Lock()
 		d.epoch--
 		d.ckptMu.Unlock()
@@ -344,17 +348,37 @@ func clearFenced(dir string) { os.Remove(filepath.Join(dir, fencedName)) }
 // ---------------------------------------------------------------------
 // /replicate endpoint
 
-// serveReplicate streams a checkpoint plus the live WAL tail to one
-// follower: the JSON header line, the snapshot bytes, then record and
-// heartbeat frames until the client goes away or falls too far behind.
-// ckpt is checkpointSubscribe bound to the workload's snapshot encoder.
-func serveReplicate[M Model](
-	e *engine[M],
-	ckpt func(*replSub) (persist.Manifest, *os.File, uint64, error),
-	workload string,
-	w http.ResponseWriter,
-	r *http.Request,
-) {
+// ApplyReplicated applies one WAL record shipped from a primary to the
+// given shard, through the follower's own log-before-apply path — the
+// replica's on-disk state is itself durable and byte-identical to what
+// the primary logged, and because the record carries every input of
+// the apply, the replica's model is digit-identical to the primary's at
+// the same applied LSN. Used by the replication tailer; not a client
+// API.
+func (e *engine[M]) ApplyReplicated(shard int, payload []byte) error {
+	if e.Recovering() {
+		return errRecovering
+	}
+	if shard < 0 || shard >= len(e.shards) {
+		return fmt.Errorf("server: replicated record for shard %d of %d", shard, len(e.shards))
+	}
+	key, apply, err := e.wl.decodeRecord(payload)
+	if err != nil {
+		return err
+	}
+	if err := e.logApply(shard, payload, apply); err != nil {
+		return err
+	}
+	e.repl.applied.Add(1)
+	e.wl.applied(key)
+	return nil
+}
+
+// handleReplicate serves GET /replicate: it streams a checkpoint plus
+// the live WAL tail to one follower — the JSON header line, the
+// snapshot bytes, then record and heartbeat frames until the client
+// goes away or falls too far behind.
+func (e *engine[M]) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
@@ -372,21 +396,12 @@ func serveReplicate[M Model](
 			return
 		}
 	}
-	if e.Recovering() {
-		writeUnavailable(w, "recovering")
-		return
-	}
-	if e.replFenced() {
-		writeError(w, http.StatusServiceUnavailable, "fenced: a newer primary (epoch %d) exists", e.repl.fencedBy.Load())
-		return
-	}
-	if e.Draining() {
-		writeUnavailable(w, "draining")
+	if e.refuse(w) {
 		return
 	}
 
 	sub := &replSub{ch: make(chan replFrame, replSubBuffer)}
-	m, snap, baseLSN, err := ckpt(sub)
+	m, snap, baseLSN, err := e.checkpointSubscribe(sub)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "checkpoint: %v", err)
 		return
@@ -402,7 +417,7 @@ func serveReplicate[M Model](
 	w.Header().Set("Content-Type", "application/octet-stream")
 	h := replica.Header{
 		Proto:         replica.Proto,
-		Workload:      workload,
+		Workload:      e.wl.replicaName(),
 		Generation:    m.Generation,
 		Epoch:         m.Epoch,
 		Shards:        len(e.shards),
@@ -428,26 +443,20 @@ func serveReplicate[M Model](
 	for {
 		select {
 		case f, ok := <-sub.ch:
-			if !ok {
-				// Overflowed: end the stream; the follower re-bootstraps.
-				return
-			}
 			rc.SetWriteDeadline(time.Now().Add(10 * time.Second))
-			if err := replica.WriteRecord(w, f.shard, f.payload); err != nil {
-				return
-			}
-			// Drain whatever else is queued before flushing once.
-			for drained := false; !drained; {
+			// Write whatever is queued, then flush once.
+			for more := true; more; {
+				if !ok {
+					// Overflowed: end the stream; the follower re-bootstraps.
+					return
+				}
+				if err := replica.WriteRecord(w, f.shard, f.payload); err != nil {
+					return
+				}
 				select {
-				case f, ok := <-sub.ch:
-					if !ok {
-						return
-					}
-					if err := replica.WriteRecord(w, f.shard, f.payload); err != nil {
-						return
-					}
+				case f, ok = <-sub.ch:
 				default:
-					drained = true
+					more = false
 				}
 			}
 			rc.Flush()
@@ -463,43 +472,11 @@ func serveReplicate[M Model](
 	}
 }
 
-// handleReplicate serves GET /replicate for the classification workload.
-func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	serveReplicate(&s.engine, func(sub *replSub) (persist.Manifest, *os.File, uint64, error) {
-		return s.checkpointSubscribe(func(w io.Writer, trees []*core.MultiTree) error {
-			return persist.EncodeMultiTrees(w, trees)
-		}, sub)
-	}, replica.WorkloadClassify, w, r)
-}
-
-// handleReplicate serves GET /replicate for the clustering workload.
-func (s *ClusterServer) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	serveReplicate(&s.engine, func(sub *replSub) (persist.Manifest, *os.File, uint64, error) {
-		return s.checkpointSubscribe(s.encodeSet, sub)
-	}, replica.WorkloadCluster, w, r)
-}
-
 // ReplicateHandler returns an http.Handler exposing only /replicate —
 // for serving the replication stream on a separate listener
 // (-replicate-addr) so follower traffic does not share the public port.
-func (s *Server) ReplicateHandler() http.Handler {
+func (e *engine[M]) ReplicateHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/replicate", s.handleReplicate)
+	mux.HandleFunc("/replicate", e.handleReplicate)
 	return mux
 }
-
-// ReplicateHandler is the clustering form of Server.ReplicateHandler.
-func (s *ClusterServer) ReplicateHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/replicate", s.handleReplicate)
-	return mux
-}
-
-// Promote turns this server into the primary of a new line of
-// succession: the fencing epoch is bumped and durably committed via a
-// fresh checkpoint, and any follower/fenced role state is dropped.
-// Callers should stop their replication tailer first.
-func (s *Server) Promote() error { return s.promote(s.Checkpoint) }
-
-// Promote is the clustering form of Server.Promote.
-func (s *ClusterServer) Promote() error { return s.promote(s.Checkpoint) }

@@ -43,6 +43,7 @@ import (
 
 	"bayestree/internal/core"
 	"bayestree/internal/persist"
+	"bayestree/internal/replica"
 	"bayestree/internal/stats"
 )
 
@@ -137,7 +138,7 @@ func New(trees []*core.MultiTree, cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{labels: labels, dim: dim}
-	if err := s.init(trees, cfg, false); err != nil {
+	if err := s.init(trees, cfg, false, s); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -172,14 +173,29 @@ func FromSnapshot(r io.Reader, cfg Config) (*Server, error) {
 	return New(trees, cfg)
 }
 
-// WriteSnapshot encodes every shard's tree into one versioned snapshot.
-// It holds all shard read locks for the duration, so the snapshot is a
-// consistent cut: concurrent classifications proceed, inserts wait.
-func (s *Server) WriteSnapshot(w io.Writer) error {
-	return s.withAllRead(func(trees []*core.MultiTree) error {
-		return persist.EncodeMultiTrees(w, trees)
-	})
+// encodeSet implements workload: every shard's tree in one versioned
+// sharded-set snapshot.
+func (s *Server) encodeSet(w io.Writer, trees []*core.MultiTree) error {
+	return persist.EncodeMultiTrees(w, trees)
 }
+
+// replicaName implements workload.
+func (s *Server) replicaName() string { return replica.WorkloadClassify }
+
+// decodeRecord implements workload: a classification record is
+// (label, x). Its key is constant — shard routing is content-hashed, so
+// replaying shard by shard reproduces the exact insert sequence.
+func (s *Server) decodeRecord(payload []byte) (int64, func(*core.MultiTree) error, error) {
+	label, x, err := decodeClassRecord(s.dim, payload)
+	if err != nil {
+		return 0, nil, err
+	}
+	return 0, func(t *core.MultiTree) error { return t.Insert(x, label) }, nil
+}
+
+// applied implements workload; classification has nothing to do after
+// an apply.
+func (s *Server) applied(int64) {}
 
 // Labels returns the class labels the server predicts.
 func (s *Server) Labels() []int { return append([]int(nil), s.labels...) }
@@ -347,14 +363,9 @@ func (s *Server) Insert(x []float64, label int) error {
 	if len(x) != s.dim {
 		return fmt.Errorf("server: point dim %d != model dim %d", len(x), s.dim)
 	}
-	if s.Recovering() {
-		return errRecovering
-	}
 	if err := s.writeAllowed(); err != nil {
 		return err
 	}
-	idx := shardIndex(x, len(s.shards))
-	sh := s.shards[idx]
 	var rec []byte
 	if s.durableOn() {
 		// Log-before-apply requires the apply to be total: reject here
@@ -370,67 +381,12 @@ func (s *Server) Insert(x []float64, label int) error {
 		}
 		rec = encodeClassRecord(label, x)
 	}
-	sh.mu.Lock()
-	if rec != nil {
-		if err := s.logAppend(idx, rec); err != nil {
-			sh.mu.Unlock()
-			return fmt.Errorf("server: wal: %w", err)
-		}
-	}
-	err := sh.tree.Insert(x, label)
-	if err == nil {
-		// Re-publish the descent mirror while the write lock still
-		// fences readers: split-free inserts patch in place, splits
-		// rebuild.
-		s.refreshShardSoA(sh)
-	}
-	sh.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.inserts.Add(1)
-	return nil
+	return s.logApply(shardIndex(x, len(s.shards)), rec, func(t *core.MultiTree) error { return t.Insert(x, label) })
 }
 
 // Learn is Insert under the name stream.Engine expects, so
 // stream.RunBatch can drive a live server for ingest-while-serving.
 func (s *Server) Learn(x []float64, label int) error { return s.Insert(x, label) }
-
-// ApplyReplicated applies one WAL record shipped from a primary to the
-// given shard, through the follower's own log-before-apply path — the
-// replica's on-disk state is itself durable and byte-identical to what
-// the primary logged. Used by the replication tailer; not a client API.
-func (s *Server) ApplyReplicated(shard int, payload []byte) error {
-	if s.Recovering() {
-		return errRecovering
-	}
-	if shard < 0 || shard >= len(s.shards) {
-		return fmt.Errorf("server: replicated record for shard %d of %d", shard, len(s.shards))
-	}
-	label, x, err := decodeClassRecord(s.dim, payload)
-	if err != nil {
-		return err
-	}
-	sh := s.shards[shard]
-	sh.mu.Lock()
-	if s.durableOn() {
-		if err := s.logAppend(shard, payload); err != nil {
-			sh.mu.Unlock()
-			return fmt.Errorf("server: wal: %w", err)
-		}
-	}
-	err = sh.tree.Insert(x, label)
-	if err == nil {
-		s.refreshShardSoA(sh)
-	}
-	sh.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.inserts.Add(1)
-	s.repl.applied.Add(1)
-	return nil
-}
 
 // ClassifyBatchBudgets classifies xs[i] with budget budgets[i],
 // returning predictions in input order (workers ≤ 0 = GOMAXPROCS,
@@ -637,7 +593,7 @@ type Stats struct {
 	SoAInvalidations int64 `json:"soa_invalidations"`
 	// Durability reports the write-ahead-log state: whether inserts are
 	// logged, whether WAL replay is still rebuilding the model (writes
-	// rejected, /healthz failing), the replay and group-commit counters
+	// rejected, /readyz failing), the replay and group-commit counters
 	// and the current checkpoint generation. All zero when the server
 	// runs memory-only.
 	WALEnabled         bool   `json:"wal_enabled"`
